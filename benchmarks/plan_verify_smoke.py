@@ -21,9 +21,9 @@ file path):
    equivalent schedule; in practice rejection is 100%.
 3. **Overhead** -- aggregate verify time across the matrix must stay
    under ``OVERHEAD_BUDGET`` (10%) of aggregate plan-build time.
-   Per-family ratios are printed but not gated: a tiny ordinary plan
-   verifies in microseconds while GIR CAP planning dominates its own
-   check by orders of magnitude, and the aggregate is what the
+   Per-family ratios are printed but not gated: a small GIR plan is
+   cheap to build next to its exact trace-oracle check, while
+   Moebius planning dwarfs its own, and the aggregate is what the
    ``verify_plan=True`` opt-in costs a mixed workload.  A breached
    budget is remeasured up to ``MAX_ATTEMPTS`` times (noise vs
    regression).

@@ -264,7 +264,7 @@ def profile_gir(
         system if system.g_is_distinct() else normalize_non_distinct(system).system
     )
     graph = build_dependence_graph(solved_system)
-    cap = count_all_paths(graph)
+    cap = count_all_paths(graph, method="edges")
 
     # per-level combine actives: every trace's factor count halves per
     # level (floor-pairing, mirroring evaluate_trace_powers and the

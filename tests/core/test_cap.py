@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import GIRSystem
-from repro.core import cap as cap_module
 from repro.core.cap import CAPResult, cap_iterations, count_all_paths, count_paths_dp
 from repro.core.depgraph import build_dependence_graph
 from repro.core.operators import modular_add
@@ -82,40 +81,31 @@ class TestCAPCorrectness:
 
 
 class TestMethodParity:
-    """The three CAP backends are one algorithm in three clothes."""
+    """Doubling rounds and the forward DP count the same paths."""
 
-    @pytest.mark.parametrize("method", ("matrix", "edges", "dp"))
+    @pytest.mark.parametrize("method", ("edges", "dp"))
     def test_explicit_methods_agree(self, method):
         _, g = fib_graph(24)
-        assert count_all_paths(g, method=method).powers == count_paths_dp(g)
-
-    def test_matrix_and_edges_share_iteration_accounting(self):
-        _, g = fib_graph(20)
-        mat = count_all_paths(g, method="matrix")
-        edg = count_all_paths(g, method="edges")
-        assert mat.iterations == edg.iterations
-        assert mat.powers == edg.powers
-        # partial states agree round by round, too
-        for k in range(1, mat.iterations):
-            assert (
-                count_all_paths(g, method="matrix", max_iterations=k).powers
-                == count_all_paths(g, method="edges", max_iterations=k).powers
-            )
+        result = count_all_paths(g, method=method)
+        assert result.powers == count_paths_dp(g)
+        # the DP reports the rounds the doubling schedule runs
+        assert result.iterations == count_all_paths(g, method="edges").iterations
 
     @given(gir_systems(distinct_g=True))
     @settings(max_examples=30)
     def test_property_methods_agree(self, sys_):
         g = build_dependence_graph(sys_)
         want = count_paths_dp(g)
-        for method in ("matrix", "edges", "dp"):
+        for method in ("auto", "edges", "dp"):
             assert count_all_paths(g, method=method).powers == want
+        assert list(cap_iterations(g))[-1] == want
 
     def test_object_promotion_stays_exact(self):
-        # fib(121) >> 2**63: the counting matrix must promote to exact
-        # Python ints before any product can overflow int64.
+        # fib(121) >> 2**63: labels are exact Python ints on both the
+        # doubling and the DP path.
         n = 120
         _, g = fib_graph(n)
-        cap = count_all_paths(g, method="matrix")
+        cap = count_all_paths(g, method="edges")
         assert cap.powers == count_paths_dp(g)
         top = max(cap.powers[n - 1].values())
         assert top.bit_length() > 63  # genuinely beyond int64
@@ -124,31 +114,6 @@ class TestMethodParity:
         _, g = fib_graph(4)
         with pytest.raises(ValueError):
             count_all_paths(g, method="quantum")
-
-
-class TestScipyGating:
-    """CAP parity must survive SciPy's absence (both the env override
-    and a missing import)."""
-
-    def test_env_override_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        assert cap_module._scipy_sparse() is None
-        _, g = fib_graph(18)
-        assert count_all_paths(g, method="matrix").powers == count_paths_dp(g)
-
-    def test_monkeypatched_absence_forces_fallback(self, monkeypatch):
-        monkeypatch.setattr(cap_module, "_scipy_sparse", lambda: None)
-        _, g = fib_graph(18)
-        for method in ("auto", "matrix"):
-            assert count_all_paths(g, method=method).powers == count_paths_dp(g)
-
-    def test_pure_python_rows_past_dense_cutoff(self, monkeypatch):
-        # no scipy AND too many nodes for the dense path: the sparse
-        # pure-Python row representation carries the doubling.
-        monkeypatch.setattr(cap_module, "_scipy_sparse", lambda: None)
-        monkeypatch.setattr(cap_module, "_DENSE_MAX_NODES", 8)
-        _, g = fib_graph(30)
-        assert count_all_paths(g, method="matrix").powers == count_paths_dp(g)
 
 
 class TestConvergence:

@@ -84,7 +84,7 @@ class TestCAP:
     def test_iteration_spans_agree_with_result(self):
         graph = self.fib_graph(20)
         with obs.observed() as (tracer, registry):
-            result = count_all_paths(graph)
+            result = count_all_paths(graph, method="edges")
         iterations = tracer.find("cap.iteration")
         assert len(iterations) == result.iterations
         assert [
@@ -93,6 +93,14 @@ class TestCAP:
         assert registry.value("cap.iterations") == result.iterations
         assert registry.value("cap.edge_work") == result.edge_work
         assert registry.get("cap.edges_live").updates == result.iterations
+
+    def test_dp_counts_work_without_iteration_spans(self):
+        graph = self.fib_graph(20)
+        with obs.observed() as (tracer, registry):
+            result = count_all_paths(graph, method="dp")
+        assert result.edge_work > 0
+        assert registry.value("cap.edge_work") == result.edge_work
+        assert tracer.find("cap.iteration") == []
 
     def test_root_attributes(self):
         graph = self.fib_graph(12)
