@@ -214,9 +214,8 @@ def count_all_paths(
     per_iteration: List[int] = []
     with maybe_span(get_tracer(), "cap.count_all_paths", n=graph.n) as root:
         if method != "edges" and enforcer is None and max_iterations is None:
-            edges = count_paths_dp(graph)
+            edges, depth = _dp_forward(graph)
             total_work = _dp_work(graph, edges)
-            depth = graph.depth()
             iterations = (depth - 1).bit_length() if depth > 1 else 0
             registry = get_registry()
             if registry is not None:
@@ -255,15 +254,26 @@ def count_paths_dp(graph: DependenceGraph) -> EdgeSet:
     """Sequential ground truth: leaf path counts by forward dynamic
     programming (operands always point to earlier iterations), entirely
     independent of the doubling algorithm.  O(n * leaves)."""
+    return _dp_forward(graph)[0]
+
+
+def _dp_forward(graph: DependenceGraph) -> Tuple[EdgeSet, int]:
+    """:func:`count_paths_dp` plus the graph's depth (what
+    :meth:`DependenceGraph.depth` returns), taken in the same pass."""
     n = graph.n
     counts: EdgeSet = [dict() for _ in range(n)]
+    depths = [0] * n
     for i in range(n):
         acc: Dict[int, int] = {}
+        below = 0
         for t, mult in graph.out_edges(i).items():
             if t >= n:
                 acc[t] = acc.get(t, 0) + mult
             else:
+                if depths[t] > below:
+                    below = depths[t]
                 for leaf, x in counts[t].items():
                     acc[leaf] = acc.get(leaf, 0) + mult * x
         counts[i] = acc
-    return counts
+        depths[i] = below + 1
+    return counts, max(depths, default=0)

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import Any, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,6 +72,8 @@ __all__ = [
     "RationalRecurrence",
     "AffineRecurrence",
     "run_moebius_sequential",
+    "ScalarTypes",
+    "classify_scalars",
 ]
 
 Number = Union[int, float, Fraction]
@@ -368,31 +370,68 @@ def run_moebius_sequential(rec: RationalRecurrence) -> List[Number]:
     return X
 
 
-def _floatable_scalars(rec: "RationalRecurrence") -> bool:
-    """True when every scalar is a plain int/float (safe to cast to
-    float64) and at least one is a float.  All-int and exact-Fraction
-    systems must keep the exact object engine."""
-    scalars = list(rec.initial) + rec.a + rec.b + rec.c + rec.d
-    saw_float = False
-    for x in scalars:
-        if isinstance(x, (bool, np.bool_)):
-            return False
-        if isinstance(x, (float, np.floating)):
-            saw_float = True
-        elif not isinstance(x, (int, np.integer)):
-            return False
-    return saw_float
+#: Float types whose float64 cast reproduces Python's scalar arithmetic
+#: bit for bit (``np.float32`` and friends round in their own width).
+_PLAIN_FLOATS = frozenset({float, np.float64})
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+_BOOL_TYPES = (bool, np.bool_)
 
 
-def _affine_fast_path_applicable(rec: "RationalRecurrence") -> bool:
-    """The vectorized affine engine applies when the recurrence is
-    affine (``c = 0``, ``d != 0``) over float-castable scalars --
-    exact types (Fraction, all-int data) must keep the object engine."""
-    return (
-        all(x == 0 for x in rec.c)
-        and all(x != 0 for x in rec.d)
-        and _floatable_scalars(rec)
-    )
+@dataclass(frozen=True)
+class ScalarTypes:
+    """The set of Python types among some scalars, and what it allows.
+
+    Built by :func:`classify_scalars` in one C-speed pass over the
+    elements' types; ``|`` joins the classes of several columns.  Each
+    predicate applies ``issubclass`` to the distinct types, which
+    decides exactly what an ``isinstance`` walk over the elements
+    would.
+    """
+
+    types: frozenset
+
+    def __or__(self, other: "ScalarTypes") -> "ScalarTypes":
+        return ScalarTypes(self.types | other.types)
+
+    @property
+    def castable(self) -> bool:
+        """Every scalar is a non-bool int or float (safe to cast to
+        float64)."""
+        return all(
+            issubclass(t, _NUMBER_TYPES) and not issubclass(t, _BOOL_TYPES)
+            for t in self.types
+        )
+
+    @property
+    def has_float(self) -> bool:
+        """At least one scalar is a float."""
+        return any(issubclass(t, (float, np.floating)) for t in self.types)
+
+    @property
+    def has_int(self) -> bool:
+        """At least one scalar is an int (bools included)."""
+        return any(issubclass(t, (int, np.integer)) for t in self.types)
+
+    @property
+    def plain(self) -> bool:
+        """Castable, and every float is a ``float`` / ``np.float64``:
+        float64 array arithmetic then matches the scalar arithmetic
+        (ints still need the ``2**53`` magnitude check)."""
+        return self.castable and all(
+            t in _PLAIN_FLOATS or not issubclass(t, (float, np.floating))
+            for t in self.types
+        )
+
+    @property
+    def only_float(self) -> bool:
+        """Every scalar is exactly a Python ``float`` (a float64 array's
+        ``tolist()`` gives back the same objects' values and type)."""
+        return self.types <= {float}
+
+
+def classify_scalars(xs: Iterable[Any]) -> ScalarTypes:
+    """The :class:`ScalarTypes` of ``xs``."""
+    return ScalarTypes(frozenset(map(type, xs)))
 
 
 def _as_exact(rec: RationalRecurrence) -> Optional[RationalRecurrence]:

@@ -56,6 +56,10 @@ class ExecutionRequest:
     f_initial: Optional[List[Any]] = None
     max_rounds: Optional[int] = None
     options: Dict[str, Any] = field(default_factory=dict)
+    #: Value-independent per-source state a ``Session`` pinned at
+    #: construction (Moebius: :class:`~repro.engine.exec_moebius.
+    #: PreparedRecurrence`); ``None`` makes the executor derive it.
+    prepared: Any = None
 
 
 class Backend(ABC):
@@ -141,6 +145,7 @@ class PythonBackend(Backend):
             policy=request.policy,
             checked=request.checked,
             check_sample=request.check_sample,
+            prepared=request.prepared,
         )
         return values, stats, plan, None
 
@@ -199,6 +204,7 @@ class NumpyBackend(Backend):
             policy=request.policy,
             checked=request.checked,
             check_sample=request.check_sample,
+            prepared=request.prepared,
         )
         return values, stats, plan, None
 
@@ -234,6 +240,7 @@ class NumpyBackend(Backend):
                 policy=request.policy,
                 checked=request.checked,
                 check_sample=request.check_sample,
+                prepared=request.prepared,
             )
         if family != "ordinary":
             raise NotImplementedError(
@@ -404,6 +411,7 @@ class ShmBackend(Backend):
             chaos=chaos,
             watchdog_s=watchdog_s,
             retries=retries,
+            prepared=request.prepared,
         )
         return values, stats, plan, None
 

@@ -106,7 +106,9 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
             gsp.set_attribute("edges", graph.edge_count())
             gsp.set_attribute("depth", graph.depth())
     with maybe_span(tracer, "gir.cap"):
-        cap: CAPResult = count_all_paths(graph, policy=policy)
+        # acyclic by construction: every operand resolves to an
+        # earlier writer or a leaf
+        cap: CAPResult = count_all_paths(graph, policy=policy, validate=False)
     # Leaf cells are always original cells (< m): renamed version
     # cells are written before any read, so only pristine cells appear
     # as initial-value leaves.  The table therefore indexes the

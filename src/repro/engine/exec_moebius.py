@@ -8,11 +8,21 @@ the matrices are represented.  Path selection (``auto``), the numeric
 guard and its degradation ladder (float -> exact ``Fraction`` -> the
 sequential baseline) are orchestrated here, moved verbatim from the
 historical :func:`repro.core.moebius.solve_moebius`.
+
+The value-independent half of the affine path -- coefficient
+classification, the ``c = 0`` / ``d != 0`` shape test, map validation
+and the normalized ``(a/d, b/d)`` float64 arrays -- is computed by one
+function, :func:`prepare`.  A fresh solve calls it per solve; a
+:class:`~repro.engine.session.Session` calls it once at construction
+and hands the result to every request, which then only classifies its
+``initial`` values and replays the rounds in NumPy.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+import itertools
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,10 +31,10 @@ from ..core.equations import IRValidationError, OrdinaryIRSystem
 from ..core.moebius import (
     Mat2,
     RationalRecurrence,
-    _affine_fast_path_applicable,
+    ScalarTypes,
     _as_exact,
     _exact_to_float,
-    _floatable_scalars,
+    classify_scalars,
     moebius_ir_operator,
     run_moebius_sequential,
 )
@@ -37,24 +47,132 @@ __all__ = [
     "execute",
     "execute_batch",
     "execute_affine_batch",
-    "resolve_path",
+    "prepare",
+    "PreparedRecurrence",
     "affine_coefficients",
     "PATHS",
 ]
 
 PATHS = ("auto", "object", "affine", "rational")
 
+#: Integers at or beyond this magnitude may not survive the float64
+#: cast exactly, so Python's ``int / int`` (correctly rounded from the
+#: exact quotient) and the array division could differ.
+_EXACT_INT_LIMIT = float(2**53)
 
-def resolve_path(rec: RationalRecurrence, path: str) -> str:
-    """Concrete numeric path of an ``auto`` request (mirrors the
-    historical engine-selection rules)."""
-    if path != "auto":
-        return path
-    if _affine_fast_path_applicable(rec):
-        return "affine"
-    if _floatable_scalars(rec):
-        return "rational"
-    return "object"
+
+@dataclass(frozen=True)
+class PreparedRecurrence:
+    """The value-independent state of a Moebius recurrence's solve.
+
+    Everything here depends on the index maps and the coefficients
+    only, never on ``initial``; :func:`prepare` builds it.  The arrays
+    are read-only.  Like the operator of an ordinary system, the
+    coefficients are pinned: mutating ``rec.a`` (etc.) in place after
+    preparing is not supported.
+    """
+
+    #: ``(g, f, a, b, c, d)`` objects the state was derived from.
+    columns: Tuple[Any, ...]
+    m: int
+    self_term: bool
+    #: Types among the ``a, b, c, d`` coefficients.
+    types: ScalarTypes
+    #: ``c == 0`` and ``d != 0`` everywhere (meaningful when castable).
+    affine_shape: bool
+    #: Normalized ``a/d`` and ``b/d``, terminal fold not applied; ``None``
+    #: when the float64 arrays could differ from the per-element
+    #: ``Mat2`` arithmetic (self terms, exotic float types, large ints)
+    #: or the recurrence is not affine-shaped.
+    a: Optional[np.ndarray]
+    b: Optional[np.ndarray]
+
+    def describes(self, rec: RationalRecurrence) -> bool:
+        """True when this state was prepared from ``rec``'s maps and
+        coefficient objects (``dataclasses.replace(rec, initial=...)``
+        keeps them)."""
+        return (
+            len(rec.initial) == self.m
+            and rec.self_term == self.self_term
+            and all(
+                x is y
+                for x, y in zip(
+                    self.columns, (rec.g, rec.f, rec.a, rec.b, rec.c, rec.d)
+                )
+            )
+        )
+
+    def resolve(self, path: str, initial: ScalarTypes) -> str:
+        """Concrete numeric path of a request whose ``initial`` values
+        have the types ``initial``: ``affine`` for affine shapes over
+        float-castable scalars with at least one float, ``rational``
+        for other float-castable data, ``object`` otherwise (all-int
+        and exact ``Fraction`` data keep the exact engine)."""
+        if path != "auto":
+            return path
+        kinds = self.types | initial
+        if kinds.castable and kinds.has_float:
+            return "affine" if self.affine_shape else "rational"
+        return "object"
+
+
+def prepare(rec: RationalRecurrence) -> PreparedRecurrence:
+    """Validate ``rec`` and compute its value-independent solve state:
+    one type-set pass over the coefficients, one float64 cast per
+    coefficient column, and the normalized affine arrays."""
+    rec.validate()
+    types = classify_scalars(itertools.chain(rec.a, rec.b, rec.c, rec.d))
+    affine_shape = False
+    a = b = None
+    if types.castable:
+        try:
+            a_col, b_col, c_col, d_col = (
+                np.asarray(col, dtype=np.float64)
+                for col in (rec.a, rec.b, rec.c, rec.d)
+            )
+        except OverflowError:  # an int beyond float64's range
+            affine_shape = all(x == 0 for x in rec.c) and all(
+                x != 0 for x in rec.d
+            )
+        else:
+            affine_shape = not c_col.any() and bool(d_col.all())
+            if (
+                affine_shape
+                and not rec.self_term
+                and types.plain
+                and not (types.has_int and _has_large(a_col, b_col, d_col))
+            ):
+                with np.errstate(all="ignore"):
+                    a, b = a_col / d_col, b_col / d_col
+                a.flags.writeable = False
+                b.flags.writeable = False
+    return PreparedRecurrence(
+        columns=(rec.g, rec.f, rec.a, rec.b, rec.c, rec.d),
+        m=rec.m,
+        self_term=rec.self_term,
+        types=types,
+        affine_shape=affine_shape,
+        a=a,
+        b=b,
+    )
+
+
+def _has_large(*cols: np.ndarray) -> bool:
+    """Any finite entry at or beyond :data:`_EXACT_INT_LIMIT`."""
+    return any(
+        bool((np.isfinite(col) & (np.abs(col) >= _EXACT_INT_LIMIT)).any())
+        for col in cols
+    )
+
+
+def _prepared(
+    rec: RationalRecurrence, prepared: Optional[PreparedRecurrence]
+) -> PreparedRecurrence:
+    """``prepared`` when it was built from ``rec``, else a fresh
+    :func:`prepare` (which validates ``rec``)."""
+    if prepared is not None and prepared.describes(rec):
+        return prepared
+    return prepare(rec)
 
 
 def build_plan(rec: RationalRecurrence, fingerprint: str) -> MoebiusPlan:
@@ -79,6 +197,7 @@ def execute(
     policy=None,
     checked: bool = False,
     check_sample: Optional[int] = 64,
+    prepared: Optional[PreparedRecurrence] = None,
 ) -> Tuple[List[Any], Optional[SolveStats], MoebiusPlan]:
     """Solve the recurrence, building ``plan`` when ``None``.
 
@@ -86,9 +205,11 @@ def execute(
     the fast-path applicability rules); ``guard="auto"`` arms the
     default numeric guard only for ``auto`` solves, matching the
     historical contract that explicitly selected engines keep their
-    bit-level behavior unguarded.
+    bit-level behavior unguarded.  ``prepared`` is the recurrence's
+    :func:`prepare` state when the caller pinned it (a ``Session``);
+    without it the state is built (and ``rec`` validated) here.
     """
-    rec.validate()
+    prepared = _prepared(rec, prepared)
     auto = path == "auto"
     guard_obj: Optional[NumericGuard]
     if isinstance(guard, str):
@@ -97,17 +218,20 @@ def execute(
         guard_obj = default_guard() if auto else None
     else:
         guard_obj = guard
-    resolved = resolve_path(rec, path)
+    initial_types = classify_scalars(rec.initial)
+    resolved = prepared.resolve(path, initial_types)
     if resolved not in ("object", "affine", "rational"):
         raise ValueError(f"unknown engine {resolved!r}")
 
     if plan is None:
         plan = build_plan(rec, problem.fingerprint())
 
-    X, stats = _run_path(
+    X, stats, assigned = _run_path(
         rec,
         plan,
         resolved,
+        prepared,
+        initial_types,
         backend_name=backend_name,
         collect_stats=collect_stats,
         guard=guard_obj,
@@ -124,6 +248,7 @@ def execute(
             guard=guard_obj,
             collect_stats=collect_stats,
             policy=policy,
+            assigned=assigned,
         )
 
     if checked:
@@ -143,29 +268,40 @@ def _run_path(
     rec: RationalRecurrence,
     plan: MoebiusPlan,
     resolved: str,
+    prepared: PreparedRecurrence,
+    initial_types: ScalarTypes,
     *,
     backend_name: str,
     collect_stats: bool,
     guard: Optional[NumericGuard],
     policy,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """Dispatch one concrete path (no ladder, no auto resolution)."""
+) -> Tuple[List[Any], Optional[SolveStats], Optional[np.ndarray]]:
+    """Dispatch one concrete path (no ladder, no auto resolution);
+    returns ``(values, stats, assigned)`` where ``assigned`` is the
+    affine path's float64 array of assigned values, else ``None``."""
     if resolved == "affine":
-        return execute_affine(
-            rec, plan, collect_stats=collect_stats, guard=guard, policy=policy
+        return _solve_affine(
+            rec,
+            plan,
+            prepared,
+            initial_types,
+            collect_stats=collect_stats,
+            policy=policy,
         )
     if resolved == "rational":
-        return execute_rational(
+        X, stats = execute_rational(
             rec, plan, collect_stats=collect_stats, guard=guard, policy=policy
         )
-    return execute_object(
-        rec,
-        plan,
-        engine=backend_name,
-        collect_stats=collect_stats,
-        guard=guard,
-        policy=policy,
-    )
+    else:
+        X, stats = execute_object(
+            rec,
+            plan,
+            engine=backend_name,
+            collect_stats=collect_stats,
+            guard=guard,
+            policy=policy,
+        )
+    return X, stats, None
 
 
 def execute_object(
@@ -240,6 +376,7 @@ def _escalate_if_unhealthy(
     guard: NumericGuard,
     collect_stats: bool,
     policy,
+    assigned: Optional[np.ndarray] = None,
 ) -> Tuple[List[Any], Optional[SolveStats]]:
     """The degradation ladder's upper rungs.
 
@@ -248,9 +385,12 @@ def _escalate_if_unhealthy(
     on the object path (possible iff every input scalar is finite) --
     reusing the same plan, since the maps are unchanged -- and rung 3
     falls back to the sequential baseline, which *defines* the
-    recurrence's semantics.
+    recurrence's semantics.  ``assigned`` is the float64 array of the
+    assigned values in iteration order when the path has one (the
+    affine paths); otherwise they are gathered from ``X``.
     """
-    assigned = (X[int(c)] for c in rec.g)
+    if assigned is None:
+        assigned = (X[int(c)] for c in rec.g)
     report = guard.check_values(assigned, where=f"moebius.{engine}")
     if report.healthy:
         return X, stats
@@ -290,9 +430,11 @@ def _escalate_if_unhealthy(
 
 def _affine_base(rec: RationalRecurrence) -> Tuple[np.ndarray, np.ndarray]:
     """Normalized per-iteration ``(a, b)`` coefficients, terminal fold
-    **not** applied.  Validates the affine preconditions (``c = 0``,
-    ``d != 0``)."""
-    rec.validate()
+    **not** applied, one ``Mat2`` per element: the reference for
+    :func:`prepare`'s arrays, and the path for the data they do not
+    cover (self terms, exotic float types, large ints, forced
+    ``path="affine"`` on other shapes).  Validates the affine
+    preconditions (``c = 0``, ``d != 0``)."""
     n = rec.n
     if any(c != 0 for c in rec.c):
         raise IRValidationError(
@@ -312,29 +454,80 @@ def _affine_base(rec: RationalRecurrence) -> Tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def affine_coefficients(
+def _folded(
     rec: RationalRecurrence,
+    prepared: PreparedRecurrence,
+    initial: np.ndarray,
     sched: OrdinaryPlan,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalized per-iteration ``(a, b)`` coefficient arrays for the
-    affine fast path, with the terminal fold already applied --
-    float64 arrays ready for round replay (used by both this module's
-    :func:`execute_affine` and the shm backend's worker sweep)."""
-    a, b = _affine_base(rec)
-    initial = np.asarray(rec.initial, dtype=np.float64)
+    """Fresh ``(a, b)`` working arrays with the terminal fold applied;
+    ``initial`` is ``(m,)`` or a ``(k, m)`` batch (``b`` follows its
+    leading axis, ``a`` never depends on values)."""
+    if prepared.a is not None:
+        a, b0 = prepared.a.copy(), prepared.b
+    else:
+        a, b0 = _affine_base(rec)
+    b = np.array(np.broadcast_to(b0, initial.shape[:-1] + b0.shape))
     terminal = sched.terminal_idx
     # terminals absorb Const(S[f(i)]): (a,b) o (0,S) = (0, a*S + b);
     # constant pairs (a == 0) keep their b untouched -- their
     # structural zero must absorb even an infinite S
     at = a[terminal]
     with np.errstate(invalid="ignore"):
-        b[terminal] = np.where(
+        b[..., terminal] = np.where(
             at == 0.0,
-            b[terminal],
-            at * initial[sched.f[terminal]] + b[terminal],
+            b[..., terminal],
+            at * initial[..., sched.f[terminal]] + b[..., terminal],
         )
     a[terminal] = 0.0
     return a, b
+
+
+def affine_coefficients(
+    rec: RationalRecurrence,
+    sched: OrdinaryPlan,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalized per-iteration ``(a, b)`` coefficient arrays for the
+    affine fast path, with the terminal fold already applied --
+    float64 arrays ready for round replay (a fresh :func:`prepare`
+    plus the fold)."""
+    return _folded(
+        rec, prepare(rec), np.asarray(rec.initial, dtype=np.float64), sched
+    )
+
+
+def _replay_affine(a: np.ndarray, b: np.ndarray, active, p) -> None:
+    """One composition round in place: the newer segment (``active``)
+    composes over the older one (``p``); a 2-D ``b`` is a batch, one
+    row per instance (a row at a time: NumPy's 2-D fancy indexing is
+    several times slower than ``k`` 1-D passes).  Constant pairs
+    (a == 0) absorb: the odot rule, kept out of IEEE's 0 * inf = NaN."""
+    aa = a[active]
+    const_pair = aa == 0.0
+    for row in b if b.ndim > 1 else (b,):
+        bb = row[active]
+        row[active] = np.where(const_pair, bb, aa * row[p] + bb)
+    a[active] = np.where(const_pair, 0.0, aa * a[p])
+
+
+def _scatter(
+    initial: Sequence[Any],
+    initial_arr: np.ndarray,
+    types: ScalarTypes,
+    g: np.ndarray,
+    values: np.ndarray,
+) -> List[Any]:
+    """The solved vector: ``initial`` with cell ``g[i]`` set to
+    ``values[i]``.  All-``float`` rows scatter in float64; any other
+    row keeps its unassigned cells' own objects."""
+    if types.only_float:
+        out = initial_arr.copy()
+        out[g] = values
+        return out.tolist()
+    out = list(initial)
+    for cell, v in zip(g.tolist(), values.tolist()):
+        out[cell] = v
+    return out
 
 
 def execute_affine(
@@ -348,9 +541,32 @@ def execute_affine(
     """Vectorized fast path for *affine* recurrences (``c = 0``) over
     the planned schedule; see the historical
     :func:`repro.core.moebius.solve_affine_numpy` for the algebra."""
+    X, stats, _assigned = _solve_affine(
+        rec,
+        plan,
+        prepare(rec),
+        classify_scalars(rec.initial),
+        collect_stats=collect_stats,
+        policy=policy,
+    )
+    return X, stats
+
+
+def _solve_affine(
+    rec: RationalRecurrence,
+    plan: MoebiusPlan,
+    prepared: PreparedRecurrence,
+    initial_types: ScalarTypes,
+    *,
+    collect_stats: bool,
+    policy,
+) -> Tuple[List[Any], Optional[SolveStats], Optional[np.ndarray]]:
+    """:func:`execute_affine` plus the assigned values in iteration
+    order (``None`` after a sequential fallback), for the guard."""
     n = rec.n
     sched = plan.ordinary
-    a, b = affine_coefficients(rec, sched)
+    initial = np.asarray(rec.initial, dtype=np.float64)
+    a, b = _folded(rec, prepared, initial, sched)
 
     stats = (
         SolveStats(n=n, init_ops=sched.init_ops) if collect_stats else None
@@ -373,16 +589,7 @@ def execute_affine(
                     round=rounds,
                     active=count,
                 ):
-                    # newer segment (active) composes over the older
-                    # one (p).  Constant pairs (a == 0) absorb: the
-                    # odot rule, kept out of IEEE's 0 * inf = NaN.
-                    const_pair = a[active] == 0.0
-                    new_b = np.where(
-                        const_pair, b[active], a[active] * b[p] + b[active]
-                    )
-                    new_a = np.where(const_pair, 0.0, a[active] * a[p])
-                    a[active] = new_a
-                    b[active] = new_b
+                    _replay_affine(a, b, active, p)
                     rounds += 1
                     if stats is not None:
                         stats.rounds += 1
@@ -398,14 +605,10 @@ def execute_affine(
             registry.counter("solver.solves", engine="affine").inc()
 
     if enforcer is not None and enforcer.should_fallback:
-        return run_moebius_sequential(rec), stats
+        return run_moebius_sequential(rec), stats, None
 
-    out = list(rec.initial)
-    g_list = sched.g.tolist()
-    values = b.tolist()  # all (completed) maps end constant: value = b
-    for i in range(n):
-        out[g_list[i]] = values[i]
-    return out, stats
+    # all (completed) maps end constant: value = b
+    return _scatter(rec.initial, initial, initial_types, sched.g, b), stats, b
 
 
 def execute_rational(
@@ -521,59 +724,23 @@ def execute_rational(
 # ---------------------------------------------------------------------------
 
 
-def _stackable_affine(rec: RationalRecurrence, batch) -> bool:
-    """True when the whole batch can run as one stacked affine sweep:
-    no self term (the self-term rewrite folds each row's initial values
-    into the *coefficients*, so they stop being row-independent), affine
-    shape (``c = 0``, ``d != 0``), and every scalar -- coefficients and
-    all batch rows -- float-castable with at least one genuine float
-    (all-int / Fraction data keeps the exact per-row object engine,
-    mirroring the single-solve ``auto`` rules)."""
+def _stack_types(
+    rec: RationalRecurrence,
+    prepared: PreparedRecurrence,
+    batch: Sequence[Sequence[Any]],
+) -> Optional[List[ScalarTypes]]:
+    """Each row's scalar types when the whole batch can run as one
+    stacked affine sweep, else ``None``.  It can when there is no self
+    term (the self-term rewrite folds each row's initial values into
+    the *coefficients*, so they stop being row-independent) and every
+    row resolves to the affine path exactly as its own ``auto`` solve
+    would -- so a row stacks iff :func:`execute` would run it affine."""
     if rec.self_term:
-        return False
-    if any(x != 0 for x in rec.c) or any(x == 0 for x in rec.d):
-        return False
-    saw_float = False
-
-    def scan_slow(xs) -> bool:
-        # Object/mixed rows: the original elementwise walk.
-        nonlocal saw_float
-        for x in xs:
-            if isinstance(x, (bool, np.bool_)):
-                return False
-            if isinstance(x, (float, np.floating)):
-                saw_float = True
-            elif not isinstance(x, (int, np.integer)):
-                return False
-        return True
-
-    def scan(xs) -> bool:
-        # Dtype inspection classifies a whole row in O(1) after one
-        # asarray pass -- the serving coalescer calls this per gather
-        # window, so the O(k*n) isinstance walk above is reserved for
-        # object arrays (Fraction / mixed rows), where elementwise is
-        # the only sound answer.
-        nonlocal saw_float
-        try:
-            arr = np.asarray(xs)
-        except (ValueError, TypeError, OverflowError):
-            return False
-        if arr.dtype == object:
-            return scan_slow(arr.tolist())
-        if arr.dtype.kind == "f":
-            saw_float = True
-            return True
-        if arr.dtype.kind in "iu":
-            return True
-        return False  # bool, complex, str, datetime, ...
-
-    for xs in (rec.a, rec.b, rec.d):
-        if not scan(xs):
-            return False
-    for row in batch:
-        if not scan(row):
-            return False
-    return saw_float
+        return None
+    types = [classify_scalars(row) for row in batch]
+    if all(prepared.resolve("auto", t) == "affine" for t in types):
+        return types
+    return None
 
 
 def execute_affine_batch(
@@ -590,53 +757,46 @@ def execute_affine_batch(
     :func:`execute_affine`, so each row matches its single solve
     bit-for-bit.
     """
+    rows, _b = _affine_batch(
+        rec,
+        plan,
+        prepare(rec),
+        batch_initial,
+        [classify_scalars(row) for row in batch_initial],
+    )
+    return rows
+
+
+def _affine_batch(
+    rec: RationalRecurrence,
+    plan: MoebiusPlan,
+    prepared: PreparedRecurrence,
+    batch_initial,
+    row_types: List[ScalarTypes],
+) -> Tuple[List[List[Any]], np.ndarray]:
+    """:func:`execute_affine_batch` plus the ``(k, n)`` assigned values."""
     sched = plan.ordinary
-    n = rec.n
-    k = len(batch_initial)
     V = np.asarray(batch_initial, dtype=np.float64)  # (k, m)
-    a, b0 = _affine_base(rec)
-    b = np.repeat(b0[None, :], k, axis=0)  # (k, n)
-    terminal = sched.terminal_idx
-    at = a[terminal]
-    with np.errstate(invalid="ignore"):
-        b[:, terminal] = np.where(
-            at == 0.0,
-            b[:, terminal],
-            at * V[:, sched.f[terminal]] + b[:, terminal],
-        )
-    a[terminal] = 0.0
+    a, b = _folded(rec, prepared, V, sched)
 
     tracer = get_tracer()
     registry = get_registry()
     with maybe_span(
-        tracer, "solver.moebius", engine="affine.batch", n=n, batch=k
+        tracer, "solver.moebius", engine="affine.batch", n=rec.n, batch=len(V)
     ) as root:
         with np.errstate(over="ignore", invalid="ignore"):
             for active, p in sched.steps:
-                const_pair = a[active] == 0.0
-                new_b = np.where(
-                    const_pair,
-                    b[:, active],
-                    a[active] * b[:, p] + b[:, active],
-                )
-                new_a = np.where(const_pair, 0.0, a[active] * a[p])
-                a[active] = new_a
-                b[:, active] = new_b
+                _replay_affine(a, b, active, p)
         if root is not None:
             root.set_attribute("rounds", sched.rounds)
         if registry is not None:
             registry.counter("solver.solves", engine="affine.batch").inc()
 
-    g_list = sched.g.tolist()
-    values = b.tolist()
-    rows: List[List[Any]] = []
-    for r in range(k):
-        out = list(batch_initial[r])
-        vals = values[r]
-        for i in range(n):
-            out[g_list[i]] = vals[i]
-        rows.append(out)
-    return rows
+    rows = [
+        _scatter(row, V[r], types, sched.g, b[r])
+        for r, (row, types) in enumerate(zip(batch_initial, row_types))
+    ]
+    return rows, b
 
 
 def execute_batch(
@@ -648,25 +808,38 @@ def execute_batch(
     policy=None,
     checked: bool = False,
     check_sample: Optional[int] = 64,
+    prepared: Optional[PreparedRecurrence] = None,
 ) -> Tuple[List[List[Any]], MoebiusPlan]:
     """Batch front door for the Moebius family.
 
-    Stacks the coefficient arrays into one :func:`execute_affine_batch`
-    sweep when :func:`_stackable_affine` allows; otherwise replays the
-    shared plan per row (object / Fraction operands, rational
-    recurrences, self-term rewrites) -- which still skips all
-    replanning.  A ``policy`` routes through the per-row path so every
-    row gets the full budget/fallback semantics of a single solve.
+    Stacks the rows into one :func:`execute_affine_batch` sweep when
+    every row would take the affine path on its own
+    (:func:`_stack_types`); otherwise replays the shared plan per row
+    (object / Fraction operands, rational recurrences, self-term
+    rewrites) -- which still skips all replanning.  A stacked row the
+    default guard finds unhealthy is re-solved alone, through the same
+    escalation ladder as a single ``auto`` solve.  A ``policy`` routes
+    through the per-row path so every row gets the full
+    budget/fallback semantics of a single solve.
     """
     import dataclasses
 
+    prepared = _prepared(rec, prepared)
     if plan is None:
         plan = build_plan(rec, problem.fingerprint())
     if len(batch_initial) == 0:
         return [], plan
 
-    if policy is None and _stackable_affine(rec, batch_initial):
-        rows = execute_affine_batch(rec, plan, batch_initial)
+    row_types = (
+        _stack_types(rec, prepared, batch_initial) if policy is None else None
+    )
+    if row_types is not None:
+        rows, b = _affine_batch(rec, plan, prepared, batch_initial, row_types)
+        guard = default_guard()
+        for r, row in enumerate(batch_initial):
+            if not guard.check_values(b[r]).healthy:
+                inst = dataclasses.replace(rec, initial=list(row))
+                rows[r] = execute(inst, problem, plan, prepared=prepared)[0]
         if checked:
             from ..resilience.verify import differential_check
 
@@ -692,6 +865,7 @@ def execute_batch(
             policy=row_policy,
             checked=checked,
             check_sample=check_sample,
+            prepared=prepared,
         )
         out.append(X)
     return out, plan

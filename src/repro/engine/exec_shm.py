@@ -50,7 +50,7 @@ import numpy as np
 
 from ..core.equations import OrdinaryIRSystem
 from ..core.gir import GIRSolveStats
-from ..core.moebius import run_moebius_sequential
+from ..core.moebius import classify_scalars, run_moebius_sequential
 from ..core.ordinary import SolveStats, _maybe_check, _sequential_baseline
 from ..core.sequential import run_gir
 from ..errors import (
@@ -688,14 +688,17 @@ def execute_moebius(
     chaos: Optional[Dict[str, Any]] = None,
     watchdog_s: Optional[float] = None,
     retries: int = DEFAULT_RETRIES,
+    prepared=None,
 ) -> Tuple[List[Any], Optional[SolveStats], MoebiusPlan]:
     """Moebius front door of the shm backend: the affine fast path
     only, with the standard guard/escalation ladder on top (escalation
-    rungs run master-side on the exact object engine)."""
+    rungs run master-side on the exact object engine).  ``prepared``
+    is the recurrence's pinned :func:`~repro.engine.exec_moebius.
+    prepare` state, built (and ``rec`` validated) here when absent."""
     from . import exec_moebius
     from ..resilience.guard import NumericGuard, default_guard
 
-    rec.validate()
+    prepared = exec_moebius._prepared(rec, prepared)
     auto = path == "auto"
     if isinstance(guard, str):
         if guard != "auto":
@@ -703,7 +706,8 @@ def execute_moebius(
         guard_obj: Optional[NumericGuard] = default_guard() if auto else None
     else:
         guard_obj = guard
-    resolved = exec_moebius.resolve_path(rec, path)
+    initial_types = classify_scalars(rec.initial)
+    resolved = prepared.resolve(path, initial_types)
     if resolved != "affine":
         raise ValueError(
             "the shm backend covers the NumPy-typed affine fast path; this "
@@ -713,9 +717,11 @@ def execute_moebius(
     if plan is None:
         plan = exec_moebius.build_plan(rec, problem.fingerprint())
 
-    X, stats = _execute_affine(
+    X, stats, assigned = _execute_affine(
         rec,
         plan,
+        prepared,
+        initial_types,
         workers=workers,
         collect_stats=collect_stats,
         policy=policy,
@@ -734,6 +740,7 @@ def execute_moebius(
             guard=guard_obj,
             collect_stats=collect_stats,
             policy=policy,
+            assigned=assigned,
         )
     if checked:
         from ..resilience.verify import differential_check
@@ -745,6 +752,8 @@ def execute_moebius(
 def _execute_affine(
     rec,
     plan: MoebiusPlan,
+    prepared,
+    initial_types,
     *,
     workers: int,
     collect_stats: bool,
@@ -753,8 +762,11 @@ def _execute_affine(
     chaos: Optional[Dict[str, Any]] = None,
     watchdog_s: Optional[float] = None,
     retries: int = DEFAULT_RETRIES,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    from .exec_moebius import affine_coefficients
+) -> Tuple[List[Any], Optional[SolveStats], Optional[np.ndarray]]:
+    """The worker sweep; returns ``(values, stats, assigned)`` with
+    ``assigned`` the final ``b`` (``None`` after a sequential
+    fallback), for the guard."""
+    from .exec_moebius import _folded, _scatter
 
     sched = plan.ordinary
     n = rec.n
@@ -767,9 +779,10 @@ def _execute_affine(
         SolveStats(n=n, init_ops=sched.init_ops) if collect_stats else None
     )
     if rounds_exhausted == "rounds" and policy.on_exhaustion == "fallback":
-        return run_moebius_sequential(rec), stats
+        return run_moebius_sequential(rec), stats, None
 
-    a0, b0 = affine_coefficients(rec, sched)
+    initial = np.asarray(rec.initial, dtype=np.float64)
+    a0, b0 = _folded(rec, prepared, initial, sched)
 
     tracer = get_tracer()
     with maybe_span(
@@ -839,10 +852,11 @@ def _execute_affine(
             if policy.on_exhaustion == "raise":
                 raise _timeout_error(label, policy, started)
             if policy.on_exhaustion == "fallback":
-                return run_moebius_sequential(rec), stats
+                return run_moebius_sequential(rec), stats, None
 
-        out = list(rec.initial)
-        values = b.tolist()  # completed maps end constant: value = b
-        for i, cell in enumerate(sched.g.tolist()):
-            out[cell] = values[i]
-        return out, stats
+        assigned = b.copy()  # completed maps end constant: value = b
+        return (
+            _scatter(rec.initial, initial, initial_types, sched.g, assigned),
+            stats,
+            assigned,
+        )

@@ -7,7 +7,14 @@ then serves any number of value vectors through
 :meth:`Session.solve` / :meth:`Session.solve_batch` with **zero
 per-request planning or cache traffic** -- no fingerprint hashing, no
 LRU lookups, no validation.  The per-request work is exactly the plan
-replay.
+replay.  For Moebius recurrences the session also pins the
+value-independent coefficient state
+(:func:`repro.engine.exec_moebius.prepare`: coefficient
+classification, the affine shape test and the normalized float64
+coefficient arrays), so a request only classifies its own ``initial``
+values before the NumPy replay.  Index maps, operator and coefficients
+are pinned: mutating them in place (``rec.a[i] = ...``) after building
+a session is not supported.
 
 This is the preferred entry point when the same recurrence structure
 (index maps + operator) is solved repeatedly over different data::
@@ -140,6 +147,7 @@ class Session:
             else [self._backend]
         )
         self._plan = self._build_plan()
+        self._prepared = self._prepare()
         if self._verify:
             from .api import _check_preconditions
 
@@ -186,6 +194,16 @@ class Session:
                 self._source, self._problem.fingerprint()
             )
         return None
+
+    def _prepare(self) -> Any:
+        """Pin the value-independent per-source state the executors
+        would otherwise derive per request (Moebius: coefficient
+        classification and the normalized affine arrays)."""
+        if self._backend.name == "pram" or self._problem.family != "moebius":
+            return None
+        from . import exec_moebius
+
+        return exec_moebius.prepare(self._source)
 
     # -- introspection -----------------------------------------------------
 
@@ -268,6 +286,7 @@ class Session:
             check_sample=self._check_sample,
             f_initial=f_initial,
             options=dict(self._options),
+            prepared=self._prepared,
         )
         registry = get_registry()
         started = time.perf_counter() if registry is not None else 0.0
@@ -332,6 +351,7 @@ class Session:
             checked=self._checked,
             check_sample=self._check_sample,
             options=dict(self._options),
+            prepared=self._prepared,
         )
         registry = get_registry()
         started = time.perf_counter() if registry is not None else 0.0

@@ -141,7 +141,27 @@ class NumericGuard:
         self, values: Iterable[Any], *, where: str = ""
     ) -> GuardReport:
         """Scan result cells for NaN/Inf; only float cells are examined
-        (exact types cannot be unhealthy)."""
+        (exact types cannot be unhealthy).  A 1-D float ndarray is
+        scanned in NumPy, with the same report as the element walk."""
+        if (
+            isinstance(values, np.ndarray)
+            and values.ndim == 1
+            and values.dtype.kind == "f"
+        ):
+            nan = np.isnan(values)
+            inf = np.isinf(values)
+            bad = np.zeros(values.shape, dtype=bool)
+            if self.nan_fatal:
+                bad |= nan
+            if self.inf_fatal:
+                bad |= inf
+            return GuardReport(
+                where=where,
+                checked=int(values.size),
+                nan_count=int(np.count_nonzero(nan)),
+                inf_count=int(np.count_nonzero(inf)),
+                bad_cells=np.flatnonzero(bad).tolist(),
+            )
         report = GuardReport(where=where)
         for cell, v in enumerate(values):
             report.checked += 1

@@ -76,6 +76,9 @@ class PendingSolve:
     request_id: str
     future: "asyncio.Future[EngineResult]"
     enqueued: float = field(default_factory=time.monotonic)
+    #: The caller will ask :meth:`CoalesceLane.encode_once` for an
+    #: encoding of this request's result.
+    encode: bool = False
 
 
 class CoalesceLane:
@@ -113,6 +116,16 @@ class CoalesceLane:
         #: EWMA of recent flush latency, feeding admission control.
         self.ewma_flush_s = 0.0
         self.inflight = 0
+        # Materialized rows by payload key, for the requests gathered
+        # until the next window starts solving.
+        self._rows: Dict[tuple, List[Any]] = {}
+        # Reply encodings of results shared by several requests, keyed
+        # by the shared values list's id: ``[values, encoding,
+        # consumers left, window]``.  An entry goes when its last
+        # consumer has it, or two windows later if a consumer vanished
+        # (a cancelled request), so no result outlives its replies.
+        self._encoded: Dict[int, List[Any]] = {}
+        self._windows = 0
 
     # -- admission ---------------------------------------------------------
 
@@ -134,16 +147,24 @@ class CoalesceLane:
         values: Optional[Sequence[Any]],
         patch: Optional[Dict[int, Any]],
         request_id: str,
+        encode: bool = False,
     ) -> "asyncio.Future[EngineResult]":
-        """Queue one request; returns the future its result lands on."""
+        """Queue one request; returns the future its result lands on.
+        ``encode`` announces that the caller will fetch an encoding of
+        the result through :meth:`encode_once`."""
         key = payload_key(values, patch)
-        row = self._materialize(values, patch)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._materialize(values, patch)
+            if row is not None:
+                self._rows[key] = row
         loop = asyncio.get_running_loop()
         pending = PendingSolve(
             key=key,
             values=row,
             request_id=request_id,
             future=loop.create_future(),
+            encode=encode,
         )
         self._pending.append(pending)
         self.inflight += 1
@@ -169,6 +190,22 @@ class CoalesceLane:
             return row
         return None  # the registered initial values
 
+    def encode_once(self, values: List[Any], encode) -> Any:
+        """``encode(values)`` for a request submitted with
+        ``encode=True``, computed once per distinct result: every
+        request of a window that shared a payload receives the same
+        ``values`` list, so its reply encoding (the digest) is derived
+        once, not once per request."""
+        entry = self._encoded.get(id(values))
+        if entry is None:  # a result no other request shares
+            return encode(values)
+        if entry[1] is None:
+            entry[1] = encode(values)
+        entry[2] -= 1
+        if entry[2] == 0:
+            del self._encoded[id(values)]
+        return entry[1]
+
     # -- flushing ----------------------------------------------------------
 
     async def _flush_after_window(self) -> None:
@@ -187,6 +224,7 @@ class CoalesceLane:
                 "serve.coalesce.width", family=self.session.family
             ).observe(len(batch))
         started = time.monotonic()
+        self._rows = {}
         # Dedup: one solve per distinct payload, shared across every
         # request that carried it.
         order: List[tuple] = []
@@ -220,6 +258,7 @@ class CoalesceLane:
             registry.counter(
                 "serve.coalesce.deduped", family=self.session.family
             ).inc(len(batch) - len(order))
+        shared: Dict[int, List[Any]] = {}
         for item in batch:
             self.inflight -= 1
             if item.future.done():
@@ -228,6 +267,11 @@ class CoalesceLane:
             if isinstance(base, BaseException):
                 item.future.set_exception(base)
                 continue
+            if item.encode:
+                # the entry holds ``values``, so its id is not reused
+                shared.setdefault(
+                    id(base.values), [base.values, None, 0, self._windows]
+                )[2] += 1
             item.future.set_result(
                 EngineResult(
                     values=base.values,
@@ -243,6 +287,15 @@ class CoalesceLane:
                     queue_wait_s=now - item.enqueued,
                 )
             )
+        self._encoded = {
+            key: entry
+            for key, entry in self._encoded.items()
+            if entry[3] >= self._windows - 1
+        }
+        self._encoded.update(
+            (key, entry) for key, entry in shared.items() if entry[2] > 1
+        )
+        self._windows += 1
 
     # Runs on the executor thread; pure synchronous engine work.
     def _solve_rows(

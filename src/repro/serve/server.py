@@ -378,6 +378,7 @@ class RecurrenceServer:
         if values is not None and patch is not None:
             raise HttpError(400, 'send "values" or "patch", not both')
         deadline_s = doc.get("deadline_s", lane.deadline_s)
+        reply = str(doc.get("reply", "values"))
 
         registry = get_registry()
         # Admission control: quota, global backpressure, then the
@@ -416,7 +417,10 @@ class RecurrenceServer:
         self._total_inflight += 1
         try:
             future = lane.submit(
-                values=values, patch=patch, request_id=request_id
+                values=values,
+                patch=patch,
+                request_id=request_id,
+                encode=reply == "digest",
             )
             if deadline_s is not None:
                 try:
@@ -441,6 +445,11 @@ class RecurrenceServer:
             self._total_inflight -= 1
 
         latency = loop.time() - started
+        digest = (
+            lane.encode_once(result.values, _digest)
+            if reply == "digest"
+            else None
+        )
         if registry is not None:
             registry.histogram(
                 "serve.request.latency_s",
@@ -453,14 +462,18 @@ class RecurrenceServer:
         return json_response_bytes(
             200,
             self._result_doc(
-                result, reply=str(doc.get("reply", "values")), latency=latency
+                result, reply=reply, latency=latency, digest=digest
             ),
             keep_alive=request.keep_alive,
         )
 
     @staticmethod
     def _result_doc(
-        result: EngineResult, *, reply: str, latency: float
+        result: EngineResult,
+        *,
+        reply: str,
+        latency: float,
+        digest: Optional[str] = None,
     ) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
             "request_id": result.request_id,
@@ -476,7 +489,7 @@ class RecurrenceServer:
             values = result.values
             n = len(values)
             stride = max(1, n // 8)
-            doc["digest"] = _digest(values)
+            doc["digest"] = digest
             doc["n"] = n
             doc["sample"] = [
                 [i, values[i]] for i in range(0, n, stride)

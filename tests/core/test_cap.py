@@ -5,11 +5,17 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from repro.core import GIRSystem
-from repro.core.cap import CAPResult, cap_iterations, count_all_paths, count_paths_dp
-from repro.core.depgraph import build_dependence_graph
+from repro.core import GIRSystem, random_gir_system
+from repro.core.cap import (
+    _dp_forward,
+    cap_iterations,
+    count_all_paths,
+    count_paths_dp,
+)
+from repro.core.depgraph import DependenceGraph, build_dependence_graph
 from repro.core.operators import modular_add
 from repro.core.traces import leaf_counts
+from repro.engine import clear_plan_cache, solve
 
 from ..conftest import gir_systems
 
@@ -99,6 +105,37 @@ class TestMethodParity:
         for method in ("auto", "edges", "dp"):
             assert count_all_paths(g, method=method).powers == want
         assert list(cap_iterations(g))[-1] == want
+
+    @given(gir_systems(distinct_g=True))
+    @settings(max_examples=30)
+    def test_property_dp_reports_the_doubling_rounds(self, sys_):
+        # the DP takes the depth in its own forward pass
+        g = build_dependence_graph(sys_)
+        assert _dp_forward(g)[1] == g.depth()
+        dp = count_all_paths(g, method="dp")
+        assert dp.iterations == count_all_paths(g, method="edges").iterations
+
+    def test_engine_plans_without_graph_rescans(self, monkeypatch):
+        # the engine's graph is acyclic by construction: planning pays
+        # neither the cycle check nor a separate depth pass
+        _, g = fib_graph(40)
+        want = count_all_paths(g, method="edges").iterations
+        sys_ = random_gir_system(300, seed=5)
+        want_random = count_all_paths(
+            build_dependence_graph(sys_), method="edges"
+        ).iterations
+
+        def boom(self):
+            raise AssertionError("graph rescanned")
+
+        monkeypatch.setattr(DependenceGraph, "validate_acyclic", boom)
+        monkeypatch.setattr(DependenceGraph, "depth", boom)
+        assert count_all_paths(g, validate=False).iterations == want
+        clear_plan_cache()
+        plan = solve(sys_).plan
+        assert plan.cap_iterations == want_random
+        with pytest.raises(AssertionError, match="rescanned"):
+            count_all_paths(g)  # the public default still validates
 
     def test_object_promotion_stays_exact(self):
         # fib(121) >> 2**63: labels are exact Python ints on both the

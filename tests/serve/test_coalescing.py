@@ -221,3 +221,39 @@ class TestPerRowPolicy:
             deadline_s=deadline,
         )
         assert lane.batchable
+
+
+class TestWindowMemos:
+    def test_duplicate_payloads_share_one_row_and_one_encoding(self):
+        rec = affine_chain(6, [1.0] * 6, [1.0] * 6)
+        session = Session(rec)
+        lane = CoalesceLane(
+            session,
+            options=session.options,
+            base_values=list(rec.initial),
+            window_s=0.001,
+        )
+        encoded = []
+
+        def encode(values):
+            encoded.append(values)
+            return len(values)
+
+        async def run():
+            futures = [
+                lane.submit(
+                    values=None, patch={0: 2.0}, request_id=str(i), encode=True
+                )
+                for i in range(5)
+            ]
+            rows = {id(item.values) for item in lane._pending}
+            results = await asyncio.gather(*futures)
+            replies = [lane.encode_once(r.values, encode) for r in results]
+            return rows, results, replies, dict(lane._encoded)
+
+        rows, results, replies, left = asyncio.run(run())
+        assert len(rows) == 1  # one materialized row for the payload
+        assert replies == [7] * 5 and len(encoded) == 1  # one digest
+        assert left == {}  # the last consumer released the shared result
+        expected = session.solve([2.0] + rec.initial[1:]).values
+        assert all(r.values == expected for r in results)
